@@ -20,10 +20,15 @@ to a plain sequential run.
 Scheduling at a superstep boundary:
 
 1. drain completed results into the cache (non-blocking);
-2. observe the state, advance the learners/allocator, dispatch
-   uncovered rollout targets to idle worker slots (backpressure: at
-   most ``queue_depth`` tasks in flight per worker);
-3. probe the cache and fast-forward over every matching entry;
+2. probe the cache; on a hit, splice and go straight to the next
+   boundary — no boundary modelling, since speculation from a state
+   main is about to jump past could never be used;
+3. on a miss, observe the state, advance the learners/allocator, and
+   dispatch uncovered rollout targets to idle worker slots
+   (backpressure: at most ``queue_depth`` tasks in flight per worker).
+   The first miss after a run of hits re-anchors the learners before
+   observing: the observation stream skipped the states main spliced
+   past;
 4. on a miss where the *current* state is itself an in-flight
    speculation, optionally wait for that worker instead of re-executing
    the superstep — but only when its estimated remaining time is
@@ -261,15 +266,10 @@ class RealParallelEngine:
         mask = RelevanceMask(tracker)
         ensemble = default_ensemble(config)
         allocator = Allocator(ensemble, tracker, max_rollout, mask=mask)
-        if recognized.training_states:
-            # Warm start from the states the recognizer already observed
-            # (its wall time was genuinely spent before this run began).
-            for trained in recognized.training_states:
-                view = tracker.observe(trained)
-                if view is not None:
-                    ensemble.observe(view)
-            ensemble.flush_pending()
-            tracker.reset_continuity()
+        # The states the recognizer already observed (its wall time was
+        # genuinely spent before this run began) warm-start the learners
+        # at the first miss; a run that only ever hits never needs them.
+        warm_states = recognized.training_states
 
         covered = set()  # relevance keys already speculated successfully
         inflight = {}  # relevance key -> SpeculationTask
@@ -277,6 +277,7 @@ class RealParallelEngine:
         entry_ids = set()  # id() of every shipped entry
         task_ewma = _DurationEwma()
         superstep_ewma = _DurationEwma()
+        spliced = False  # a hit since the boundary model last ran
 
         def drain(timeout=0.0):
             for outcome in pool.poll(timeout):
@@ -380,7 +381,7 @@ class RealParallelEngine:
                         stride, stats.hits, stats.queries,
                         stats.instructions_executed,
                         stats.instructions_fast_forwarded,
-                        runtime.entries_shipped, len(used_entries),
+                        len(entry_ids), len(used_entries),
                         runtime.dispatch_backpressure))
                     if target is not None:
                         grown, parked = pool.resize(target)
@@ -394,23 +395,42 @@ class RealParallelEngine:
                 if not speculating:
                     runtime.degraded_boundaries += 1
                 buf = main.state.buf
-                snapshot = bytes(buf)
                 checkpoint()
-                view = tracker.observe(snapshot)
-                if view is not None:
-                    ensemble.observe(view)
-                    allocator.advance(view)
-                    if speculating:
-                        dispatch(snapshot, view)
                 stats.queries += 1
                 entry = cache.lookup(rip, buf)
-                if entry is None and speculating and view is not None:
-                    entry = self._await_inflight(
-                        pool, drain, inflight, mask, view, task_ewma,
-                        superstep_ewma, runtime, cache, rip, buf)
+                snapshot = None
                 if entry is None:
-                    stats.misses += 1
-                    break
+                    # Only a miss runs the boundary model: a hit's
+                    # speculation could no longer be used.
+                    if warm_states or spliced:
+                        # The observation stream jumps here: from the
+                        # recognizer's states, or over the states main
+                        # spliced past. Re-anchor rather than score and
+                        # train on the jump as if it were one superstep.
+                        for trained in warm_states:
+                            view = tracker.observe(trained)
+                            if view is not None:
+                                ensemble.observe(view)
+                        warm_states = ()
+                        spliced = False
+                        ensemble.flush_pending()
+                        tracker.reset_continuity()
+                        allocator.reset()
+                    snapshot = bytes(buf)
+                    view = tracker.observe(snapshot)
+                    if view is not None:
+                        ensemble.observe(view)
+                        allocator.advance(view)
+                        if speculating:
+                            dispatch(snapshot, view)
+                            entry = self._await_inflight(
+                                pool, drain, inflight, mask, view,
+                                task_ewma, superstep_ewma, runtime, cache,
+                                rip, buf)
+                    if entry is None:
+                        stats.misses += 1
+                        break
+                spliced = True
                 stats.hits += 1
                 if stats.first_splice_seconds is None:
                     stats.first_splice_seconds = time.perf_counter() - t0
@@ -427,6 +447,8 @@ class RealParallelEngine:
                     if pool.faults.next_entry_fault() == "taint":
                         applied = pool.faults.taint_entry(entry)
                         runtime.faults_injected += 1
+                if snapshot is None and auditor is not None:
+                    snapshot = bytes(buf)  # the audit's pre-splice state
                 applied.apply(buf)
                 if id(entry) in entry_ids:
                     used_entries.add(id(entry))
@@ -459,7 +481,7 @@ class RealParallelEngine:
             runtime.autoscale_decisions.extend(autoscaler.decisions)
             del runtime.autoscale_decisions[:-512]
         runtime.entries_used = len(used_entries)
-        runtime.tasks_wasted = runtime.entries_shipped - len(used_entries)
+        runtime.tasks_wasted = len(entry_ids) - len(used_entries)
         return self._result(main, recognized, wall, stats, runtime, cache,
                             auditor)
 

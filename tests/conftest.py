@@ -8,6 +8,10 @@ import random
 import pytest
 
 from repro.asm import assemble
+from repro.bench import build_collatz
+from repro.core.recognizer import Recognizer
+from repro.core.speculation import run_speculation
+from repro.core.trajectory_cache import TrajectoryCache
 from repro.minic import compile_source
 from repro.runtime import shm
 
@@ -102,3 +106,49 @@ def run_minic(source, max_instructions=2_000_000, globals_to_read=()):
         values[name] = machine.state.read_i32(program.symbol("g_" + name))
     values["__return"] = machine.state.get_reg_signed(0)
     return values
+
+
+class BoundaryWalk:
+    """A sequential walk of collatz 300 at its recognized IP.
+
+    ``states[k]`` is the machine state at the ``k+1``-th boundary and
+    ``entries[k]`` the cache entry speculated from exactly that state,
+    so a cache holding every entry makes every boundary of a
+    ``superstep_scale=1`` run hit.
+    """
+
+    def __init__(self):
+        self.workload = build_collatz(count=300)
+        program = self.workload.program
+        config = self.workload.config
+        self.recognized = Recognizer(config).find(program)
+        machine = program.make_machine()
+        breaks = frozenset((self.recognized.ip,))
+        self.states = []
+        while True:
+            machine.run(break_ips=breaks)
+            if machine.halted:
+                break
+            self.states.append(bytes(machine.state.buf))
+        self.final_state = bytes(machine.state.buf)
+        context = program.make_context()
+        budget = self.recognized.speculation_budget(
+            config.speculation_budget_factor)
+        self.entries = []
+        for state in self.states:
+            entry = run_speculation(context, state, self.recognized.ip,
+                                    self.recognized.stride, budget).entry
+            assert entry is not None
+            self.entries.append(entry)
+
+    def cache(self, entries=None):
+        cache = TrajectoryCache()
+        for entry in self.entries if entries is None else entries:
+            cache.insert(entry)
+        return cache
+
+
+@pytest.fixture(scope="session")
+def collatz_walk():
+    """Boundary states and exact entries of collatz 300 (built once)."""
+    return BoundaryWalk()
